@@ -22,7 +22,8 @@
 # (findings surface as GitHub annotations in the CI log), and an elastic
 # verify smoke step model-checks crash/rejoin interleavings for every
 # shipped preset and prices a canned crash+rejoin scenario through the
-# advisor's survivability query.
+# advisor's survivability query, and a scenario-bounds smoke step prices a
+# 1e7x straggler under a 10 s timeout and checks that F001 refuses 1e308x.
 # Run from the repo root:
 #
 #   ci/check.sh            # all four presets
@@ -128,6 +129,28 @@ elastic_verify_smoke() {
       --cluster=Stampede2 --model=resnet50 --nodes=2 --check
 }
 
+# Scenario-bounds smoke: a 1e7x straggler is ~1e9 idle engine cycles per
+# step, which the DES books in closed form, so pricing it must pass --check
+# well inside 10 s; the same scenario at 1e308x must be refused by F001
+# (exit 1) instead of reaching the DES.
+scenario_bounds_smoke() {
+  local build=build
+  local absurd="$build/straggler_1e308.json"
+  local out="$build/straggler_1e308.out"
+  echo "=== [default] scenario bounds smoke ==="
+  timeout 10 "$build/tools/dnnperf_lint" --scenario=examples/scenarios/straggler_1e7.json \
+      --cluster=Stampede2 --model=resnet50 --nodes=2 --check
+  sed 's/1e7/1e308/g' examples/scenarios/straggler_1e7.json > "$absurd"
+  local status=0
+  timeout 10 "$build/tools/dnnperf_lint" --scenario="$absurd" \
+      --cluster=Stampede2 --model=resnet50 --nodes=2 --check > "$out" 2>&1 || status=$?
+  cat "$out"
+  if [ "$status" -ne 1 ] || ! grep -q F001 "$out"; then
+    echo "scenario bounds smoke: a 1e308x slowdown must exit 1 with F001 (exit $status)" >&2
+    return 1
+  fi
+}
+
 for preset in "${presets[@]}"; do
   echo "=== [$preset] configure ==="
   cmake --preset "$preset"
@@ -143,6 +166,7 @@ for preset in "${presets[@]}"; do
     metrics_smoke
     verify_smoke
     elastic_verify_smoke
+    scenario_bounds_smoke
   fi
 done
 

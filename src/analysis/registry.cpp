@@ -185,7 +185,7 @@ const std::vector<PassInfo>& pass_registry() {
       // ---- fault-scenario passes (lint_faults) ------------------------------
       {"F001", Severity::Error, "scenario",
        "scenario references a nonexistent rank, or carries malformed event values "
-       "(non-positive slowdown factor, negative step, empty step range)"},
+       "(slowdown factor outside (0, 1e9] or not finite, negative step, empty step range)"},
       {"F002", Severity::Error, "scenario",
        "rejoin scheduled at or before the rank's crash (or with no crash at all); "
        "a rank cannot regrow into a ring it never left"},

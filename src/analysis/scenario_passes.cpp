@@ -5,6 +5,7 @@
 // scenario is linted and its crash/rejoin protocol path model-checked before
 // a single simulated step runs.
 #include <algorithm>
+#include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
@@ -18,6 +19,12 @@ namespace dnnperf::analysis {
 namespace {
 
 std::string rank_field(int rank) { return "rank " + std::to_string(rank); }
+
+std::string num(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%g", v);
+  return buf;
+}
 
 /// Mirror of TimelineSim's membership rule: the latest crash/rejoin event at
 /// or before `step` wins (ties go to the rejoin, which F002 rejects anyway).
@@ -49,10 +56,12 @@ util::Diagnostics lint_faults(const train::TrainConfig& cfg) {
   };
   for (const auto& s : faults.slowdowns) {
     check_rank(s.rank, "slowdown");
-    if (s.factor <= 0.0)
+    if (!(s.factor > 0.0 && s.factor <= hvd::RankSlowdown::kMaxFactor))
       diags.error("F001", object, rank_field(s.rank),
-                  "slowdown factor " + std::to_string(s.factor) + " is not positive",
-                  "a straggler factor multiplies compute time; 1.5 means 50% slower");
+                  "slowdown factor " + num(s.factor) + " is not in (0, " +
+                      num(hvd::RankSlowdown::kMaxFactor) + "]",
+                  "a straggler factor multiplies compute time; 1.5 means 50% slower, and "
+                  "a rank slower than the bound is better modeled as a crash");
     if (s.from_step < 0 || (s.to_step >= 0 && s.to_step <= s.from_step))
       diags.error("F001", object, rank_field(s.rank),
                   "slowdown step range [" + std::to_string(s.from_step) + ", " +

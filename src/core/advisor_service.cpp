@@ -16,17 +16,16 @@ namespace dnnperf::core {
 
 namespace {
 
-/// Bottleneck attribution of one simulated measurement, via the profiler's
-/// analytic classification (prof::classify_sim_point). Per-rank mode reports
-/// straggler_stretch = 1 (jitter is drawn, not folded), so the closed-form
-/// expected max over the world is reconstructed here either way.
-prof::SimPointVerdict classify_measurement(const train::TrainConfig& cfg,
-                                           const train::TrainResult& r) {
+/// Bottleneck attribution of one cached evaluation, via the profiler's
+/// analytic classification (prof::classify_sim_point), which reads compute
+/// only as the forward + backward + optimizer sum the record stores. The
+/// stretch is at least the closed-form expected max over the world (what
+/// representative mode applies), so a per-rank point never reads less skew
+/// than its representative twin.
+prof::SimPointVerdict classify_record(const train::TrainConfig& cfg, const EvalRecord& r) {
   prof::SimPointInputs in;
   in.step_s = r.per_iteration_s;
-  in.forward_s = r.fwd_s;
-  in.backward_s = r.bwd_s;
-  in.optimizer_s = r.optimizer_s;
+  in.forward_s = r.compute_s;
   in.comm_exposed_fraction = r.comm_exposed_fraction;
   in.comm_busy_s = r.comm_busy_per_iteration_s;
   const std::size_t ranks = static_cast<std::size_t>(cfg.nodes) * cfg.ppn;
@@ -251,9 +250,9 @@ std::vector<AdvisorReply> AdvisorService::ask_many(const std::vector<AdvisorRequ
   }
 
   // Classify: the first occurrence of a key in the batch probes the cache;
-  // repeats are batch-level dedup and cost nothing. Measurements are kept in
+  // repeats are batch-level dedup and cost nothing. Records are kept in
   // a batch-local map so eviction during this very batch cannot lose them.
-  std::unordered_map<std::uint64_t, Measurement> results;
+  std::unordered_map<std::uint64_t, EvalRecord> results;
   std::vector<Point*> to_eval;
   std::unordered_set<std::uint64_t> seen;
   for (auto& grid : grids) {
@@ -272,20 +271,18 @@ std::vector<AdvisorReply> AdvisorService::ask_many(const std::vector<AdvisorRequ
     }
   }
 
-  // Fan the fresh points out across the pool. Completed evaluations go into
-  // the cache from inside the worker, so a lint failure part-way through a
-  // batch (lint mode) does not discard sibling results.
+  // Fan the fresh points out across the pool. Completed evaluations are
+  // compacted and go into the cache from inside the worker, so a lint
+  // failure part-way through a batch (lint mode) does not discard sibling
+  // results.
   if (!to_eval.empty()) {
-    std::vector<Measurement> fresh(to_eval.size());
+    std::vector<EvalRecord> fresh(to_eval.size());
     {
       std::lock_guard<std::mutex> dispatch(dispatch_mutex_);
       pool_.parallel_for(to_eval.size(), options_.min_grain,
                          [&](std::size_t begin, std::size_t end) {
-                           for (std::size_t i = begin; i < end; ++i) {
-                             fresh[i] = experiment_.measure_keyed(to_eval[i]->config,
-                                                                 to_eval[i]->key);
-                             cache_.insert(to_eval[i]->key, fresh[i]);
-                           }
+                           for (std::size_t i = begin; i < end; ++i)
+                             fresh[i] = evaluate(to_eval[i]->config, to_eval[i]->key);
                          });
     }
     for (std::size_t i = 0; i < to_eval.size(); ++i)
@@ -303,14 +300,14 @@ std::vector<AdvisorReply> AdvisorService::ask_many(const std::vector<AdvisorRequ
     reply.grid_points = grids[r].size();
     bool have_best = false;
     const Point* best_point = nullptr;
-    const Measurement* best_measurement = nullptr;
+    const EvalRecord* best_record = nullptr;
     for (const Point& point : grids[r]) {
       switch (point.origin) {
         case Origin::CacheHit: ++reply.cache_hits; break;
         case Origin::Deduplicated: ++reply.deduplicated; break;
         case Origin::Evaluated: ++reply.evaluated; break;
       }
-      const Measurement& m = results.at(point.key);
+      const EvalRecord& m = results.at(point.key);
       if (req.want_table)
         table.add_row({std::to_string(point.config.ppn),
                        std::to_string(point.config.intra_threads),
@@ -318,7 +315,7 @@ std::vector<AdvisorReply> AdvisorService::ask_many(const std::vector<AdvisorRequ
                        std::to_string(point.config.batch_per_rank),
                        util::TextTable::num(m.images_per_sec, 1)});
       const double value = req.objective == Objective::MinStepTime
-                               ? m.last.per_iteration_s
+                               ? m.per_iteration_s
                                : m.images_per_sec;
       const bool better = !have_best || (req.objective == Objective::MinStepTime
                                              ? value < reply.objective_value
@@ -329,12 +326,11 @@ std::vector<AdvisorReply> AdvisorService::ask_many(const std::vector<AdvisorRequ
         reply.recommendation.best = point.config;
         reply.recommendation.images_per_sec = m.images_per_sec;
         best_point = &point;
-        best_measurement = &m;
+        best_record = &m;
       }
     }
     if (best_point != nullptr) {
-      const prof::SimPointVerdict v =
-          classify_measurement(best_point->config, best_measurement->last);
+      const prof::SimPointVerdict v = classify_record(best_point->config, *best_record);
       reply.verdict = v.verdict;
       reply.overlap_fraction = v.overlap_fraction;
       reply.verdict_reason = v.reason;
@@ -425,7 +421,7 @@ std::vector<ScalingPoint> AdvisorService::scaling_curve(const ScalingRequest& re
     keys[i] = config_key(curve[i].config);
   }
 
-  std::unordered_map<std::uint64_t, Measurement> results;
+  std::unordered_map<std::uint64_t, EvalRecord> results;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (results.contains(keys[i])) continue;
     if (auto cached = cache_.lookup(keys[i]))
@@ -434,29 +430,26 @@ std::vector<ScalingPoint> AdvisorService::scaling_curve(const ScalingRequest& re
       to_eval.push_back(i);
   }
   if (!to_eval.empty()) {
-    std::vector<Measurement> fresh(to_eval.size());
+    std::vector<EvalRecord> fresh(to_eval.size());
     {
       std::lock_guard<std::mutex> dispatch(dispatch_mutex_);
       pool_.parallel_for(to_eval.size(), 1, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::size_t at = to_eval[i];
-          fresh[i] = experiment_.measure_keyed(curve[at].config, keys[at]);
-          cache_.insert(keys[at], fresh[i]);
-        }
+        for (std::size_t i = begin; i < end; ++i)
+          fresh[i] = evaluate(curve[to_eval[i]].config, keys[to_eval[i]]);
       });
     }
     for (std::size_t i = 0; i < to_eval.size(); ++i)
       results.emplace(keys[to_eval[i]], std::move(fresh[i]));
   }
 
-  const Measurement& base = results.at(keys.front());
+  const EvalRecord& base = results.at(keys.front());
   for (std::size_t i = 0; i < curve.size(); ++i) {
-    const Measurement& m = results.at(keys[i]);
+    const EvalRecord& m = results.at(keys[i]);
     curve[i].images_per_sec = m.images_per_sec;
-    curve[i].per_iteration_s = m.last.per_iteration_s;
-    curve[i].sim_events = m.last.sim_events;
-    curve[i].sim_pool_slots = m.last.sim_pool_slots;
-    const prof::SimPointVerdict v = classify_measurement(curve[i].config, m.last);
+    curve[i].per_iteration_s = m.per_iteration_s;
+    curve[i].sim_events = m.sim_events;
+    curve[i].sim_pool_slots = m.sim_pool_slots;
+    const prof::SimPointVerdict v = classify_record(curve[i].config, m);
     curve[i].verdict = v.verdict;
     curve[i].overlap_fraction = v.overlap_fraction;
     if (base.images_per_sec > 0.0) {
@@ -511,7 +504,7 @@ SurvivabilityReply AdvisorService::survivability(const SurvivabilityRequest& req
   }
 
   SurvivabilityReply reply;
-  std::unordered_map<std::uint64_t, Measurement> results;
+  std::unordered_map<std::uint64_t, EvalRecord> results;
   std::vector<std::pair<const train::TrainConfig*, std::uint64_t>> to_eval;
   for (const auto& [cfg, key] : sides) {
     // Empty scenario: both sides alias one config key; evaluate it once.
@@ -527,14 +520,12 @@ SurvivabilityReply AdvisorService::survivability(const SurvivabilityRequest& req
     }
   }
   if (!to_eval.empty()) {
-    std::vector<Measurement> fresh(to_eval.size());
+    std::vector<EvalRecord> fresh(to_eval.size());
     {
       std::lock_guard<std::mutex> dispatch(dispatch_mutex_);
       pool_.parallel_for(to_eval.size(), 1, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          fresh[i] = experiment_.measure_keyed(*to_eval[i].first, to_eval[i].second);
-          cache_.insert(to_eval[i].second, fresh[i]);
-        }
+        for (std::size_t i = begin; i < end; ++i)
+          fresh[i] = evaluate(*to_eval[i].first, to_eval[i].second);
       });
     }
     for (std::size_t i = 0; i < to_eval.size(); ++i)
@@ -542,17 +533,19 @@ SurvivabilityReply AdvisorService::survivability(const SurvivabilityRequest& req
     reply.evaluated = to_eval.size();
   }
 
-  const Measurement& healthy_m = results.at(healthy_key);
-  const Measurement& faulted_m = results.at(faulted_key);
+  const EvalRecord& healthy_m = results.at(healthy_key);
+  EvalRecord& faulted_m = results.at(faulted_key);
   reply.healthy_images_per_sec = healthy_m.images_per_sec;
   reply.scenario_images_per_sec = faulted_m.images_per_sec;
   reply.throughput_retention = healthy_m.images_per_sec > 0.0
                                    ? faulted_m.images_per_sec / healthy_m.images_per_sec
                                    : 0.0;
-  reply.alive_rank_fraction = faulted_m.last.alive_rank_fraction;
-  reply.membership_changes = faulted_m.last.membership_changes;
-  reply.iteration_seconds = faulted_m.last.iteration_seconds;
-  const prof::SimPointVerdict v = classify_measurement(faulted, faulted_m.last);
+  if (faulted_m.fault) {  // absent only for an empty scenario: nothing to recover from
+    reply.alive_rank_fraction = faulted_m.fault->alive_rank_fraction;
+    reply.membership_changes = faulted_m.fault->membership_changes;
+    reply.iteration_seconds = std::move(faulted_m.fault->iteration_seconds);
+  }
+  const prof::SimPointVerdict v = classify_record(faulted, faulted_m);
   reply.verdict = v.verdict;
   reply.verdict_reason = v.reason;
 
@@ -580,6 +573,12 @@ SurvivabilityReply AdvisorService::survivability(const SurvivabilityRequest& req
     if (span > 0.0) metrics.qps.set(static_cast<double>(queries_) / span);
   }
   return reply;
+}
+
+EvalRecord AdvisorService::evaluate(const train::TrainConfig& config, std::uint64_t key) {
+  EvalRecord record = EvalRecord::of(config, experiment_.measure_keyed(config, key));
+  cache_.insert(key, record);
+  return record;
 }
 
 std::uint64_t AdvisorService::queries_answered() const {

@@ -145,7 +145,8 @@ struct SurvivabilityReply {
   /// Mean alive-rank fraction over the faulted run's iterations.
   double alive_rank_fraction = 1.0;
   std::uint64_t membership_changes = 0;
-  /// Per-iteration times of the faulted run (the recovery curve).
+  /// Per-iteration times of the faulted run (the recovery curve); empty for
+  /// an empty scenario, which has nothing to recover from.
   std::vector<double> iteration_seconds;
   std::size_t cache_hits = 0;  ///< of the two measurements, served warm
   std::size_t evaluated = 0;   ///< fresh simulations this query triggered
@@ -223,6 +224,10 @@ class AdvisorService {
   std::uint64_t queries_answered() const;
 
  private:
+  /// Measures one config (pool worker side), compacts the result and
+  /// caches it. Thread-safe.
+  EvalRecord evaluate(const train::TrainConfig& config, std::uint64_t key);
+
   AdvisorServiceOptions options_;
   Experiment experiment_;
   EvalCache cache_;

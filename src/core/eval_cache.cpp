@@ -1,5 +1,7 @@
 #include "core/eval_cache.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -166,64 +168,204 @@ std::uint64_t config_key(const train::TrainConfig& config) {
   return h.digest();
 }
 
+// ---- EvalRecord ------------------------------------------------------------
+
+EvalRecord EvalRecord::of(const Measurement& m, bool with_fault) {
+  const train::TrainResult& r = m.last;
+  EvalRecord rec;
+  rec.images_per_sec = m.images_per_sec;
+  rec.per_iteration_s = r.per_iteration_s;
+  rec.compute_s = r.fwd_s + r.bwd_s + r.optimizer_s;
+  rec.comm_exposed_fraction = r.comm_exposed_fraction;
+  rec.comm_busy_per_iteration_s = r.comm_busy_per_iteration_s;
+  rec.straggler_stretch = r.straggler_stretch;
+  rec.sim_events = std::min(r.sim_events, kMaxSimEvents);
+  rec.sim_pool_slots =
+      static_cast<std::uint32_t>(std::min<std::uint64_t>(r.sim_pool_slots, kMaxPoolSlots));
+  if (with_fault)
+    rec.fault = FaultOutcome{r.alive_rank_fraction, r.membership_changes, r.iteration_seconds};
+  return rec;
+}
+
+EvalRecord EvalRecord::of(const train::TrainConfig& config, const Measurement& m) {
+  return of(m, !config.faults.empty() || !config.link_degrades.empty());
+}
+
 // ---- EvalCache -------------------------------------------------------------
 
 EvalCache::EvalCache(std::size_t capacity, int shards) : capacity_(capacity) {
   if (shards < 1) throw std::invalid_argument("EvalCache: shards < 1");
   const auto n = static_cast<std::size_t>(shards);
-  per_shard_ = capacity == 0 ? 0 : std::max<std::size_t>(1, capacity / n);
+  const std::size_t per_shard = capacity == 0 ? 0 : std::max<std::size_t>(1, capacity / n);
+  if (per_shard >= kNone) throw std::length_error("EvalCache: shard capacity exceeds 2^32 - 1");
+  per_shard_ = static_cast<std::uint32_t>(per_shard);
   shards_ = std::vector<Shard>(n);
 }
 
 EvalCache::Shard& EvalCache::shard_for(std::uint64_t key) {
-  // The low bits feed the LRU map's bucket choice; pick the shard from high
-  // bits so shards do not correlate with map buckets.
+  // The index hashes the whole key; pick the shard from high bits so shards
+  // do not correlate with the low bits small test keys differ in.
   return shards_[static_cast<std::size_t>(key >> 48) % shards_.size()];
 }
 
-const EvalCache::Shard& EvalCache::shard_for(std::uint64_t key) const {
-  return shards_[static_cast<std::size_t>(key >> 48) % shards_.size()];
+std::size_t EvalCache::Shard::home(std::uint64_t key) const {
+  // Fibonacci hashing: the top bits of key * 2^64/phi.
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> index_shift);
 }
 
-std::optional<Measurement> EvalCache::lookup(std::uint64_t key) {
+std::uint32_t EvalCache::Shard::find(std::uint64_t key) {
+  if (index.empty()) return kNone;
+  const std::size_t mask = index.size() - 1;
+  for (std::size_t i = home(key);; i = (i + 1) & mask) {
+    const std::uint32_t id = index[i];
+    if (id == kNone || slot(id).key == key) return id;
+  }
+}
+
+void EvalCache::Shard::index_add(std::uint32_t id, std::size_t entries) {
+  // Keep the table at most half full: probes stay short, and the budget
+  // counts at most two index words per entry.
+  if (2 * entries > index.size()) {
+    const std::size_t size = std::max<std::size_t>(8, 2 * index.size());
+    index.assign(size, kNone);
+    index_shift = 64 - std::countr_zero(size);
+    for (std::uint32_t live = 0; live < count; ++live)
+      if (live != id) place(live);
+  }
+  place(id);
+}
+
+void EvalCache::Shard::place(std::uint32_t id) {
+  const std::size_t mask = index.size() - 1;
+  std::size_t i = home(slot(id).key);
+  while (index[i] != kNone) i = (i + 1) & mask;
+  index[i] = id;
+}
+
+void EvalCache::Shard::index_remove(std::uint64_t key) {
+  // Linear probing with backward-shift deletion: no tombstones, so probe
+  // lengths never degrade under churn.
+  const std::size_t mask = index.size() - 1;
+  std::size_t hole = home(key);
+  while (slot(index[hole]).key != key) hole = (hole + 1) & mask;
+  for (std::size_t j = (hole + 1) & mask; index[j] != kNone; j = (j + 1) & mask) {
+    // The entry at j may fill the hole iff its home is not in (hole, j].
+    const std::size_t from_home = (j - home(slot(index[j]).key)) & mask;
+    if (from_home >= ((j - hole) & mask)) {
+      index[hole] = index[j];
+      hole = j;
+    }
+  }
+  index[hole] = kNone;
+}
+
+void EvalCache::Shard::unlink(std::uint32_t id) {
+  Slot& s = slot(id);
+  (s.prev == kNone ? head : slot(s.prev).next) = s.next;
+  (s.next == kNone ? tail : slot(s.next).prev) = s.prev;
+}
+
+void EvalCache::Shard::push_front(std::uint32_t id) {
+  Slot& s = slot(id);
+  s.prev = kNone;
+  s.next = head;
+  (head == kNone ? tail : slot(head).prev) = id;
+  head = id;
+}
+
+void EvalCache::Shard::drop_fault(std::uint32_t id) {
+  Slot& s = slot(id);
+  if (s.has_fault == 0) return;
+  faults.erase(id);
+  s.has_fault = 0;
+}
+
+std::optional<EvalRecord> EvalCache::lookup(std::uint64_t key) {
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
+  const std::uint32_t id = shard.find(key);
+  if (id == kNone) {
     ++shard.stats.misses;
     cache_counters().misses.inc();
     return std::nullopt;
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  if (shard.head != id) {
+    shard.unlink(id);
+    shard.push_front(id);
+  }
   ++shard.stats.hits;
   cache_counters().hits.inc();
-  return it->second->second;
+  const Slot& s = shard.slot(id);
+  EvalRecord rec;
+  rec.images_per_sec = s.images_per_sec;
+  rec.per_iteration_s = s.per_iteration_s;
+  rec.compute_s = s.compute_s;
+  rec.comm_exposed_fraction = s.comm_exposed_fraction;
+  rec.comm_busy_per_iteration_s = s.comm_busy_per_iteration_s;
+  rec.straggler_stretch = s.straggler_stretch;
+  rec.sim_events = s.sim_events;
+  rec.sim_pool_slots = s.sim_pool_slots;
+  if (s.has_fault != 0) rec.fault = shard.faults.at(id);
+  return rec;
 }
 
-void EvalCache::insert(std::uint64_t key, const Measurement& measurement) {
+void EvalCache::insert(std::uint64_t key, const EvalRecord& record) {
   if (capacity_ == 0) return;
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  if (const auto it = shard.index.find(key); it != shard.index.end()) {
-    it->second->second = measurement;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
-  }
-  shard.lru.emplace_front(key, measurement);
-  shard.index.emplace(key, shard.lru.begin());
-  while (shard.lru.size() > per_shard_) {
-    shard.index.erase(shard.lru.back().first);
-    shard.lru.pop_back();
+  std::uint32_t id = shard.find(key);
+  if (id != kNone) {
+    shard.unlink(id);
+  } else if (shard.count < per_shard_) {
+    id = shard.count;
+    if (id % kBlockSlots == 0) shard.blocks.push_back(std::make_unique<Slot[]>(kBlockSlots));
+    shard.slot(id).key = key;
+    shard.index_add(id, shard.count + 1);
+    ++shard.count;
+  } else {
+    id = shard.tail;  // full: the LRU entry's slot takes the new key
+    shard.index_remove(shard.slot(id).key);
+    shard.unlink(id);
+    shard.slot(id).key = key;
+    shard.index_add(id, shard.count);
     ++shard.stats.evictions;
     cache_counters().evictions.inc();
   }
+  shard.push_front(id);
+  Slot& s = shard.slot(id);
+  s.images_per_sec = record.images_per_sec;
+  s.per_iteration_s = record.per_iteration_s;
+  s.compute_s = record.compute_s;
+  s.comm_exposed_fraction = record.comm_exposed_fraction;
+  s.comm_busy_per_iteration_s = record.comm_busy_per_iteration_s;
+  s.straggler_stretch = record.straggler_stretch;
+  s.sim_events = std::min(record.sim_events, EvalRecord::kMaxSimEvents);
+  s.sim_pool_slots = std::min(record.sim_pool_slots, EvalRecord::kMaxPoolSlots);
+  shard.drop_fault(id);
+  if (record.fault) {
+    shard.faults.insert_or_assign(id, *record.fault);
+    s.has_fault = 1;
+  }
+}
+
+void EvalCache::insert(std::uint64_t key, const Measurement& measurement) {
+  insert(key, EvalRecord::of(measurement, !measurement.last.iteration_seconds.empty()));
 }
 
 std::size_t EvalCache::size() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    total += shard.lru.size();
+    total += shard.count;
+  }
+  return total;
+}
+
+std::size_t EvalCache::fault_extensions() const {
+  std::size_t total = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    total += shard.faults.size();
   }
   return total;
 }
@@ -242,8 +384,13 @@ EvalCacheStats EvalCache::stats() const {
 void EvalCache::clear() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.lru.clear();
-    shard.index.clear();
+    // Swap with empties: clear() alone would keep the capacity resident.
+    decltype(shard.blocks)().swap(shard.blocks);
+    decltype(shard.index)().swap(shard.index);
+    decltype(shard.faults)().swap(shard.faults);
+    shard.count = 0;
+    shard.head = shard.tail = kNone;
+    shard.index_shift = 64;
     shard.stats = EvalCacheStats{};
   }
 }

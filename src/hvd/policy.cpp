@@ -41,9 +41,9 @@ void EngineCounters::on_framework_request(std::uint64_t n) {
   requested_.inc(n);
 }
 
-void EngineCounters::on_engine_wakeup() {
-  ++stats_.engine_wakeups;
-  cycles_.inc();
+void EngineCounters::on_engine_wakeup(std::uint64_t n) {
+  stats_.engine_wakeups += n;
+  cycles_.inc(n);
 }
 
 void EngineCounters::on_data_allreduce(double bytes, double fill_ratio) {

@@ -61,8 +61,9 @@ class EngineCounters {
   EngineCounters();
 
   void on_framework_request(std::uint64_t n = 1);
-  /// One engine cycle wake-up (always issues one coordination allreduce).
-  void on_engine_wakeup();
+  /// `n` engine cycle wake-ups (each issues one coordination allreduce);
+  /// the DES books a run of idle cycles in one call.
+  void on_engine_wakeup(std::uint64_t n = 1);
   /// One fused-buffer data allreduce of `bytes`, with the fill fraction of
   /// the fusion buffer it shipped (bytes / fusion_threshold, capped at 1).
   void on_data_allreduce(double bytes, double fill_ratio);

@@ -1,7 +1,10 @@
 #include "hvd/timeline.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <deque>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -30,6 +33,13 @@ namespace trace = util::trace;
 constexpr int kComputeTid = 1;
 constexpr int kEngineTid = 2;
 constexpr int kRankTidBase = 16;
+
+/// Compact rendering of a double for diagnostics.
+std::string num(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
+}
 
 class TimelineSim {
  public:
@@ -80,7 +90,7 @@ class TimelineSim {
                                       "dnnperf (simulated)", "sim rank " + std::to_string(r));
     }
     start_iteration();
-    if (in_.cost != nullptr) engine_.schedule_after(in_.policy.cycle_time_s, [this] { wake(); });
+    if (in_.cost != nullptr) schedule_wake(engine_.now() + in_.policy.cycle_time_s);
     engine_.run();
     TimelineResult result;
     result.total_time = finish_time_;
@@ -94,6 +104,7 @@ class TimelineSim {
     result.iteration_seconds = std::move(iteration_seconds_);
     result.iteration_alive_ranks = std::move(iteration_alive_);
     result.membership_changes = membership_changes_;
+    if (per_rank_mode()) result.mean_max_rank_factor = max_factor_sum_ / in_.iterations;
     return result;
   }
 
@@ -107,7 +118,7 @@ class TimelineSim {
     for (const auto& s : in_.faults.slowdowns) {
       if (s.rank < 0 || s.rank >= in_.sim_ranks)
         throw std::invalid_argument("TimelineInput: slowdown rank out of range");
-      if (s.factor <= 0.0 || s.from_step < 0)
+      if (!(s.factor > 0.0 && s.factor <= RankSlowdown::kMaxFactor) || s.from_step < 0)
         throw std::invalid_argument("TimelineInput: malformed slowdown");
     }
     for (const auto& c : in_.faults.crashes)
@@ -190,15 +201,23 @@ class TimelineSim {
     // path (single-process run_real_training, no RealEngine) counts zero.
     // Counting them here used to make the sim disagree with every real
     // no-comm run — the parity bug the registry metrics now guard against.
-    if (in_.cost != nullptr) counters_.on_framework_request(in_.grad_events.size());
-    for (const auto& e : in_.grad_events) {
-      engine_.schedule_after(e.time * stretch_, [this, bytes = e.bytes] {
-        if (in_.cost == nullptr) {
-          ++reduced_;  // no communication: gradients are immediately "reduced"
-        } else {
-          pending_.push_back(bytes);
-        }
-      });
+    if (in_.cost == nullptr) {
+      for (const auto& e : in_.grad_events)  // no engine: gradients are "reduced" on arrival
+        engine_.schedule_after(e.time * stretch_, [this] { ++reduced_; });
+    } else {
+      counters_.on_framework_request(in_.grad_events.size());
+      // Gradients reach the engine as an arrival stream the next wake-up
+      // drains, not as one calendar event each: only a wake-up reads them.
+      // Times are computed as schedule_after would (now + offset), ordered
+      // by (time, tensor) — the calendar's (time, insertion) order.
+      arrivals_.clear();
+      for (const auto& e : in_.grad_events)
+        arrivals_.push_back({engine_.now() + e.time * stretch_, e.bytes});
+      const auto by_time = [](const Arrival& a, const Arrival& b) { return a.time < b.time; };
+      if (!std::is_sorted(arrivals_.begin(), arrivals_.end(), by_time))
+        std::stable_sort(arrivals_.begin(), arrivals_.end(), by_time);
+      next_arrival_ = 0;
+      arrivals_stamp_ = ++stamp_;
     }
     const double bwd_start = engine_.now();
     engine_.schedule_after(in_.bwd_time * stretch_, [this, bwd_start] {
@@ -331,12 +350,15 @@ class TimelineSim {
   /// anything: previously it charged a full per-tensor negotiation over all
   /// grad_events, slowing the wake cadence (next wake at max(cycle, busy))
   /// and delaying gradient pickup whenever negotiation time exceeded the
-  /// cycle time. Busy wake-ups charge one negotiation allreduce, then one
-  /// data allreduce per fused buffer.
-  void wake() {
+  /// cycle time. Nor does it cost an event: schedule_wake counts idle cycles
+  /// in closed form. Busy wake-ups charge one negotiation allreduce, then one
+  /// data allreduce per fused buffer. `stamp` orders this wake-up against
+  /// gradient arrivals at the same virtual time (see drain_arrivals).
+  void wake(std::uint64_t stamp) {
     counters_.on_engine_wakeup();
+    drain_arrivals(stamp);
     if (pending_.empty()) {
-      if (!done_) engine_.schedule_after(in_.policy.cycle_time_s, [this] { wake(); });
+      if (!done_) schedule_wake(engine_.now() + in_.policy.cycle_time_s);
       return;
     }
 
@@ -357,6 +379,7 @@ class TimelineSim {
     std::vector<int> ready_ids(sizes.size());
     for (std::size_t k = 0; k < ready_ids.size(); ++k) ready_ids[k] = static_cast<int>(k);
     pending_.clear();
+    std::int64_t batch = 0;
     for (const auto& group : plan_fusion(ready_ids, sizes, in_.policy.fusion_threshold_bytes)) {
       double buffer_bytes = 0.0;
       const int fused = static_cast<int>(group.size());
@@ -370,21 +393,77 @@ class TimelineSim {
       busy += ar_time;
       counters_.on_data_allreduce(
           buffer_bytes, std::min(1.0, buffer_bytes / in_.policy.fusion_threshold_bytes));
-      reduced_after_busy_ += fused;
+      batch += fused;
     }
     counters_.on_cycle_time(busy);  // virtual seconds of this busy cycle
     comm_busy_total_ += busy;
 
-    engine_.schedule_after(busy, [this, batch = reduced_after_busy_] {
+    // Only the batch completing the last gradient can finish the iteration;
+    // until then reduced_ is read solely by that test, which it fails either
+    // way, so earlier batches count at once instead of as calendar events.
+    if (reduced_ + batch < static_cast<std::int64_t>(in_.grad_events.size())) {
       reduced_ += batch;
-      maybe_finish_iteration();
-    });
-    reduced_after_busy_ = 0;
-
-    if (!done_) {
-      const double next = std::max(in_.policy.cycle_time_s, busy);
-      engine_.schedule_after(next, [this] { wake(); });
+    } else {
+      engine_.schedule_after(busy, [this, batch] {
+        reduced_ += batch;
+        maybe_finish_iteration();
+      });
     }
+
+    if (!done_) schedule_wake(wake_start + std::max(in_.policy.cycle_time_s, busy));
+  }
+
+  /// Moves the gradients that have arrived by now into pending_. An arrival
+  /// at exactly now counts iff it was registered before this wake-up was
+  /// scheduled — the calendar's FIFO order when each gradient was an event.
+  void drain_arrivals(std::uint64_t wake_stamp) {
+    const double now = engine_.now();
+    for (; next_arrival_ < arrivals_.size(); ++next_arrival_) {
+      const Arrival& a = arrivals_[next_arrival_];
+      if (a.time > now || (a.time == now && arrivals_stamp_ > wake_stamp)) break;
+      pending_.push_back(a.bytes);
+    }
+  }
+
+  /// Schedules the engine's next wake-up, due at `w`, fast-forwarding over
+  /// idle cycles. It is only called with nothing pending, and only a
+  /// calendar event or a gradient arrival can change that, so every wake-up
+  /// in w, w+c, ... strictly before the first of them (at T) would find the
+  /// engine idle. Book those k = #{j >= 0 : w + j*c < T} wake-ups at once
+  /// and schedule only w + k*c, the first at or after T. The strict `<`
+  /// keeps the per-cycle loop's tie order: the event at T was scheduled
+  /// earlier, so at equal times it still runs before the wake. The wake
+  /// time is w + k*c rounded once, where the per-cycle loop added c k times;
+  /// counts are unchanged, and times agree to rounding.
+  void schedule_wake(double w) {
+    const double c = in_.policy.cycle_time_s;
+    const double t = std::min(engine_.next_time(), next_arrival_time());
+    if (t == std::numeric_limits<double>::infinity())
+      throw std::runtime_error("TimelineSim: stalled at t=" + num(engine_.now()) +
+                               " s: engine idle, nothing scheduled, iteration " +
+                               std::to_string(completed_) + " of " +
+                               std::to_string(in_.iterations) + " unfinished");
+    // Past 2^52 cycles of virtual time one cycle drops below a double's
+    // resolution, and neither the count nor the wake times stay exact (the
+    // per-cycle loop would stop advancing there). This also rejects a
+    // non-finite span, and any span of 2^53 cycles or more.
+    if (!(t / c < 0x1p52))
+      throw std::runtime_error("TimelineSim: next event at t=" + num(t) + " s lies " +
+                               num((t - w) / c) +
+                               " engine cycles ahead; virtual time past 2^52 cycles of " +
+                               num(c) + " s cannot be counted exactly");
+    // ceil((t - w) / c) is k up to rounding; settle it on the exact
+    // predicate (a step or two either way below the 2^52 bound).
+    double k = std::max(0.0, std::ceil((t - w) / c));
+    while (k > 0.0 && !(w + (k - 1.0) * c < t)) k -= 1.0;
+    while (w + k * c < t) k += 1.0;
+    counters_.on_engine_wakeup(static_cast<std::uint64_t>(k));
+    engine_.schedule_at(w + k * c, [this, stamp = ++stamp_] { wake(stamp); });
+  }
+
+  double next_arrival_time() const {
+    return next_arrival_ < arrivals_.size() ? arrivals_[next_arrival_].time
+                                            : std::numeric_limits<double>::infinity();
   }
 
   double data_allreduce_time(double bytes) const {
@@ -406,6 +485,7 @@ class TimelineSim {
       emit_compute("step", step_start_, engine_.now());
       iteration_seconds_.push_back(engine_.now() - step_start_);
       iteration_alive_.push_back(per_rank_mode() ? alive_count_ : in_.sim_ranks);
+      max_factor_sum_ += iter_max_factor_;
       ++completed_;
       if (completed_ >= in_.iterations) {
         finish_time_ = engine_.now();
@@ -420,12 +500,22 @@ class TimelineSim {
   sim::Engine engine_;
   EngineCounters counters_;
   std::deque<double> pending_;
+  /// Representative mode: this iteration's gradient arrivals in calendar
+  /// order, the next one not yet drained, and the stamp of their
+  /// registration (stamps order registrations against wake-up scheduling).
+  struct Arrival {
+    double time;
+    double bytes;
+  };
+  std::vector<Arrival> arrivals_;
+  std::size_t next_arrival_ = 0;
+  std::uint64_t arrivals_stamp_ = 0;
+  std::uint64_t stamp_ = 0;
   bool tracing_ = false;
   // 64-bit accumulators throughout: per-rank mode pushes tensor and event
   // counts into ranges where 32-bit intermediates overflow (16k ranks x
   // thousands of tensors x iterations).
   std::int64_t reduced_ = 0;
-  std::int64_t reduced_after_busy_ = 0;
   bool bwd_done_ = false;
   bool done_ = false;
   int completed_ = 0;
@@ -444,6 +534,7 @@ class TimelineSim {
   std::int64_t bwd_ranks_done_ = 0;
   double iter_start_ = 0.0;
   double iter_max_factor_ = 1.0;
+  double max_factor_sum_ = 0.0;
   double iter_resync_s_ = 0.0;
   std::uint64_t membership_changes_ = 0;
   std::vector<double> iteration_seconds_;

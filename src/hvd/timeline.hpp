@@ -20,7 +20,9 @@
 // fusion threshold, and issues one data allreduce per buffer, overlapping
 // with the remaining backward compute. An iteration completes when the
 // backward pass is done, every gradient is reduced, and the optimizer has
-// run (synchronous SGD).
+// run (synchronous SGD). Idle wake-ups are counted in closed form up to the
+// next event or gradient arrival rather than simulated one by one, so the
+// event count follows activity, not virtual time.
 #pragma once
 
 #include <cstdint>
@@ -40,8 +42,13 @@ namespace dnnperf::hvd {
 /// checker (analysis/verify), and scenario well-formedness by the F-family
 /// lint passes.
 struct RankSlowdown {
+  /// Largest accepted factor. A billion-fold straggler is a dead rank in all
+  /// but name (model it as a crash); the bound keeps virtual time, and so
+  /// the idle-cycle count, far below what a double counts exactly.
+  static constexpr double kMaxFactor = 1e9;
+
   int rank = 0;
-  double factor = 1.0;  ///< multiplies the rank's compute time (straggler)
+  double factor = 1.0;  ///< multiplies the rank's compute time, in (0, kMaxFactor]
   int from_step = 0;    ///< first affected iteration (inclusive)
   int to_step = -1;     ///< first unaffected iteration; -1 = rest of the run
 
@@ -157,6 +164,10 @@ struct TimelineResult {
   /// Membership-set changes after the first iteration (each charged a ring
   /// re-form: one engine cycle + one negotiation allreduce).
   std::uint64_t membership_changes = 0;
+  /// Per-rank mode: mean over iterations of the slowest alive rank's compute
+  /// factor (jitter x slowdown) — the straggler stretch the run actually
+  /// paid. 1.0 in representative mode, where straggler_factor is the input.
+  double mean_max_rank_factor = 1.0;
 };
 
 /// Runs the event simulation. Deterministic.

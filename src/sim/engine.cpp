@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -32,6 +33,7 @@ void Engine::release_slot(std::uint32_t slot) {
 }
 
 EventId Engine::schedule_at(double t, Callback cb) {
+  if (!std::isfinite(t)) throw std::invalid_argument("Engine::schedule_at: non-finite time");
   if (t < now_) throw std::invalid_argument("Engine::schedule_at: time in the past");
   const std::uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
@@ -69,6 +71,11 @@ void Engine::drop_cancelled_top() {
     heap_.pop_back();
     release_slot(slot);
   }
+}
+
+double Engine::next_time() {
+  drop_cancelled_top();
+  return heap_.empty() ? std::numeric_limits<double>::infinity() : heap_.front().time;
 }
 
 bool Engine::step() {

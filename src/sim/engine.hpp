@@ -30,7 +30,7 @@ class Engine {
   /// Current simulated time in seconds.
   double now() const { return now_; }
 
-  /// Schedules `cb` at absolute time `t` (must be >= now()).
+  /// Schedules `cb` at absolute time `t` (finite and >= now()).
   EventId schedule_at(double t, Callback cb);
 
   /// Schedules `cb` `dt` seconds from now (dt >= 0).
@@ -47,6 +47,10 @@ class Engine {
 
   /// Executes exactly one event if any is pending; returns false when empty.
   bool step();
+
+  /// Time of the earliest live event, or +inf when the calendar is empty.
+  /// Pops cancelled entries off the heap top first, hence non-const.
+  double next_time();
 
   /// Routes the calendar onto a virtual-time trace track: an
   /// events_processed counter is emitted at the simulated timestamp every

@@ -214,7 +214,7 @@ TrainResult run_training(const TrainConfig& cfg) {
   result.comm = sim.stats;
   result.comm_exposed_fraction = sim.comm_exposed_fraction;
   result.comm_busy_per_iteration_s = sim.comm_busy_total / cfg.iterations;
-  result.straggler_stretch = tl.straggler_factor;
+  result.straggler_stretch = per_rank ? sim.mean_max_rank_factor : tl.straggler_factor;
   result.sim_ranks = tl.sim_ranks;
   result.sim_events = sim.events_processed;
   result.sim_pool_slots = sim.pool_slots;

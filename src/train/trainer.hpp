@@ -109,8 +109,10 @@ struct TrainResult {
   /// together with the exposed fraction this yields the compute-comm overlap
   /// the profiler's verdict classification uses.
   double comm_busy_per_iteration_s = 0.0;
-  /// Expected-max compute inflation across ranks applied by the simulation
-  /// (1.0 in per-rank mode, where jitter is drawn explicitly).
+  /// Compute inflation of the slowest rank: the closed-form expected max
+  /// applied in representative mode; in per-rank mode, where jitter and
+  /// slowdowns are drawn explicitly, the mean over iterations of the slowest
+  /// alive rank's factor.
   double straggler_stretch = 1.0;
   hvd::CommStats comm;
   int world_size = 1;

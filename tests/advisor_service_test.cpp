@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <list>
 #include <stdexcept>
 #include <thread>
 #include <unordered_set>
@@ -19,6 +20,7 @@
 #include "hw/platforms.hpp"
 #include "train/trainer.hpp"
 #include "util/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -93,6 +95,144 @@ TEST(EvalCache, ZeroCapacityDisablesCaching) {
   cache.insert(7, m);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.lookup(7).has_value());
+}
+
+TEST(EvalCache, MatchesAReferenceLruUnderChurn) {
+  // Open addressing with backward-shift deletion plus intrusive LRU links,
+  // against a std::list model: random inserts, re-inserts and lookups over a
+  // key space four times the capacity keep every hit, miss and eviction
+  // identical. Random keys collide in the index, so deletions must shift
+  // probe chains back (sequential keys would spread perfectly and never
+  // exercise that).
+  constexpr std::size_t kCapacity = 97;
+  core::EvalCache cache(kCapacity, 1);
+  std::list<std::pair<std::uint64_t, double>> model;  // front = most recent
+  util::Rng rng(7);
+  std::vector<std::uint64_t> universe(4 * kCapacity);
+  for (auto& key : universe) key = rng.next_u64();
+  std::uint64_t evictions = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const std::uint64_t key = universe[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(universe.size()) - 1))];
+    const auto it = std::find_if(model.begin(), model.end(),
+                                 [key](const auto& e) { return e.first == key; });
+    if (rng.uniform(0.0, 1.0) < 0.5) {
+      const auto got = cache.lookup(key);
+      ASSERT_EQ(got.has_value(), it != model.end()) << op;
+      if (got) {
+        EXPECT_EQ(got->images_per_sec, it->second);
+        model.splice(model.begin(), model, it);
+      }
+    } else {
+      core::EvalRecord rec;
+      rec.images_per_sec = static_cast<double>(op);
+      cache.insert(key, rec);
+      if (it != model.end()) model.erase(it);
+      model.emplace_front(key, rec.images_per_sec);
+      if (model.size() > kCapacity) {
+        model.pop_back();
+        ++evictions;
+      }
+    }
+  }
+  EXPECT_EQ(cache.size(), model.size());
+  EXPECT_EQ(cache.stats().evictions, evictions);
+  for (const auto& [key, value] : model) {
+    const auto got = cache.lookup(key);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->images_per_sec, value);
+  }
+}
+
+TEST(EvalCache, RecordRoundTripsEveryReplyField) {
+  core::EvalRecord rec;
+  rec.images_per_sec = 1.5;
+  rec.per_iteration_s = 2.5;
+  rec.compute_s = 0.75;
+  rec.comm_exposed_fraction = 0.125;
+  rec.comm_busy_per_iteration_s = 0.0625;
+  rec.straggler_stretch = 1.25;
+  rec.sim_events = core::EvalRecord::kMaxSimEvents;  // the slot's widest values
+  rec.sim_pool_slots = core::EvalRecord::kMaxPoolSlots;
+  core::EvalCache cache(8, 1);
+  cache.insert(1, rec);
+  EXPECT_EQ(cache.lookup(1), rec);
+  // Compaction saturates at those widths, so a hit still equals the miss.
+  core::Measurement huge;
+  huge.last.sim_events = ~0ull;
+  huge.last.sim_pool_slots = ~0ull;
+  const core::EvalRecord saturated = core::EvalRecord::of(huge, false);
+  EXPECT_EQ(saturated.sim_events, core::EvalRecord::kMaxSimEvents);
+  EXPECT_EQ(saturated.sim_pool_slots, core::EvalRecord::kMaxPoolSlots);
+  rec.fault = core::FaultOutcome{0.875, 2, {0.5, 0.75, 0.5}};
+  cache.insert(2, rec);
+  EXPECT_EQ(cache.lookup(2), rec);
+}
+
+TEST(EvalCache, EvictionFreesTheFaultOutcome) {
+  core::EvalCache cache(2, 1);
+  core::EvalRecord faulted;
+  faulted.fault = core::FaultOutcome{0.5, 1, std::vector<double>(40, 0.25)};
+  cache.insert(1, faulted);
+  cache.insert(2, core::EvalRecord{});
+  EXPECT_EQ(cache.fault_extensions(), 1u);
+  cache.insert(3, core::EvalRecord{});  // evicts key 1, the LRU entry
+  EXPECT_FALSE(cache.lookup(1).has_value());
+  EXPECT_EQ(cache.fault_extensions(), 0u);
+  cache.insert(3, faulted);  // overwriting swaps the outcome in and out
+  EXPECT_EQ(cache.fault_extensions(), 1u);
+  cache.insert(3, core::EvalRecord{});
+  EXPECT_EQ(cache.fault_extensions(), 0u);
+  cache.insert(4, faulted);
+  cache.clear();
+  EXPECT_EQ(cache.fault_extensions(), 0u);
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(EvalCache, ScalingCurveHitEqualsMiss) {
+  // A warm per-rank curve is rebuilt from the compact records, including
+  // the event-pool figures that only scaling replies read.
+  core::AdvisorService service({.threads = 2});
+  core::ScalingRequest req;
+  req.cluster = hw::stampede2();
+  req.ppn = 4;
+  req.node_counts = {1, 2, 4};
+  req.per_rank_sim = true;
+  const auto cold = service.scaling_curve(req);
+  const auto warm = service.scaling_curve(req);
+  EXPECT_EQ(service.cache().stats().hits, cold.size());
+  ASSERT_EQ(cold.size(), warm.size());
+  for (std::size_t i = 0; i < cold.size(); ++i) {
+    EXPECT_EQ(warm[i].images_per_sec, cold[i].images_per_sec);
+    EXPECT_EQ(warm[i].per_iteration_s, cold[i].per_iteration_s);
+    EXPECT_EQ(warm[i].sim_events, cold[i].sim_events);
+    EXPECT_EQ(warm[i].sim_pool_slots, cold[i].sim_pool_slots);
+    EXPECT_EQ(warm[i].verdict, cold[i].verdict);
+    EXPECT_EQ(warm[i].overlap_fraction, cold[i].overlap_fraction);
+    EXPECT_GT(cold[i].sim_events, 0u);
+  }
+}
+
+TEST(EvalCache, ConcurrentChurnKeepsTheBound) {
+  // tsan coverage for the slot blocks, index growth and LRU relinking: four
+  // writers and readers over overlapping keys and shards.
+  core::EvalCache cache(256, 4);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t)
+    workers.emplace_back([&cache, t] {
+      for (std::uint64_t i = 0; i < 2000; ++i) {
+        const std::uint64_t key = (i * 0x9E3779B97F4A7C15ull) ^ static_cast<std::uint64_t>(t % 2);
+        core::EvalRecord rec;
+        rec.images_per_sec = static_cast<double>(key % 1000);
+        cache.insert(key, rec);
+        if (const auto got = cache.lookup(key ^ 1)) {
+          EXPECT_EQ(got->images_per_sec, static_cast<double>((key ^ 1) % 1000));
+        }
+      }
+    });
+  for (auto& w : workers) w.join();
+  EXPECT_LE(cache.size(), cache.capacity());
+  EXPECT_GT(cache.stats().evictions, 0u);
 }
 
 TEST(EvalCache, ConfigKeysUniqueAcrossPlannedGrids) {

@@ -3,13 +3,19 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "core/presets.hpp"
+#include "dnn/models.hpp"
 #include "hvd/protocol.hpp"
 #include "hvd/real_engine.hpp"
 #include "hvd/timeline.hpp"
+#include "hw/platforms.hpp"
 #include "mpi/world.hpp"
+#include "train/trainer.hpp"
 #include "util/rng.hpp"
 
 namespace dnnperf::hvd {
@@ -360,6 +366,178 @@ TEST(Timeline, PerRankModeKeepsCounterParityAtFourThousandRanks) {
   EXPECT_GT(sim.events_processed, 50 * rep.events_processed);
   EXPECT_GE(sim.pool_slots, 4096u);
   EXPECT_LT(sim.pool_slots, 3u * 4096u);
+}
+
+TEST(Timeline, PerRankModeReportsTheSlowestRanksMeanFactor) {
+  mpi::CollectiveCostModel cost(net::Topology(2, 4, hw::FabricKind::OmniPath));
+  auto in = basic_input(&cost);
+  EXPECT_DOUBLE_EQ(simulate_training(in).mean_max_rank_factor, 1.0);  // representative
+  in.sim_ranks = 8;
+  in.faults.slowdowns.push_back({2, 3.0, 1, 3});  // iterations 1 and 2 of 4
+  EXPECT_DOUBLE_EQ(simulate_training(in).mean_max_rank_factor, (1.0 + 3.0 + 3.0 + 1.0) / 4.0);
+}
+
+TEST(Timeline, SlowdownFactorMustBeFiniteAndBounded) {
+  mpi::CollectiveCostModel cost(net::Topology(2, 4, hw::FabricKind::OmniPath));
+  auto in = basic_input(&cost);
+  in.sim_ranks = 8;
+  for (const double factor : {0.0, -1.0, std::nan(""), HUGE_VAL, 1e308,
+                              2.0 * RankSlowdown::kMaxFactor}) {
+    in.faults.slowdowns = {{1, factor, 0, -1}};
+    EXPECT_THROW(simulate_training(in), std::invalid_argument) << factor;
+  }
+  in.faults.slowdowns = {{1, RankSlowdown::kMaxFactor, 0, -1}};
+  EXPECT_GT(simulate_training(in).total_time, 1e8);  // the bound itself runs
+}
+
+// ---------------------------------------------------------------------------
+// Idle fast-forward: the per-cycle loop's counts, without its idle events
+// ---------------------------------------------------------------------------
+
+struct ParityCase {
+  std::string name;
+  train::TrainConfig config;
+};
+
+/// Every shipped cluster x model at 1 and 4 nodes in representative mode,
+/// then Stampede2 2x4 per-rank with jitter, crash/rejoin and a slowdown, and
+/// a wide AMD per-rank run. Order and names match hvd_parity_golden.inc.
+std::vector<ParityCase> parity_cases() {
+  std::vector<ParityCase> out;
+  for (const auto& cluster : hw::all_clusters())
+    for (const auto model : dnn::all_models())
+      for (const int nodes : {1, 4})
+        out.push_back({cluster.name + "/" + dnn::to_string(model) + "/" + std::to_string(nodes),
+                       core::tf_best(cluster, model, nodes)});
+  train::TrainConfig base;
+  base.cluster = hw::stampede2();
+  base.nodes = 2;
+  base.ppn = 4;
+  base.batch_per_rank = 64;
+  base.iterations = 6;
+  base.per_rank_sim = true;
+  out.push_back({"per-rank jitter", base});
+  auto jittery = base;
+  jittery.jitter_cv = 0.1;
+  out.push_back({"per-rank jitter 0.1", jittery});
+  auto crash = base;
+  crash.faults.crashes.push_back({1, 2});
+  crash.faults.rejoins.push_back({1, 4});
+  out.push_back({"per-rank crash/rejoin", crash});
+  auto slow = base;
+  slow.faults.slowdowns.push_back({2, 3.0, 1, 4});
+  out.push_back({"per-rank slowdown", slow});
+  auto amd = base;
+  amd.cluster = hw::amd_cluster();
+  amd.nodes = 4;
+  amd.ppn = 16;
+  out.push_back({"per-rank AMD 4x16", amd});
+  return out;
+}
+
+struct ParityGolden {
+  const char* name;
+  std::uint64_t engine_wakeups;
+  std::uint64_t data_allreduces;
+  double images_per_sec;
+  double per_iteration_s;
+};
+
+constexpr ParityGolden kParityGolden[] = {
+#include "hvd_parity_golden.inc"
+};
+
+TEST(TimelineFastForward, MatchesThePerCycleLoopGoldens) {
+  // Counts exactly; times to 1e-12 relative, because a skipped run of idle
+  // cycles lands its wake-up at w + k*c rounded once, where the per-cycle
+  // loop added c k times.
+  const std::vector<ParityCase> cases = parity_cases();
+  ASSERT_EQ(cases.size(), std::size(kParityGolden));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const ParityGolden& want = kParityGolden[i];
+    SCOPED_TRACE(want.name);
+    ASSERT_EQ(cases[i].name, want.name);
+    const train::TrainResult got = train::run_training(cases[i].config);
+    EXPECT_EQ(got.comm.engine_wakeups, want.engine_wakeups);
+    EXPECT_EQ(got.comm.data_allreduces, want.data_allreduces);
+    EXPECT_NEAR(got.images_per_sec, want.images_per_sec, 1e-12 * want.images_per_sec);
+    EXPECT_NEAR(got.per_iteration_s, want.per_iteration_s, 1e-12 * want.per_iteration_s);
+  }
+}
+
+TEST(TimelineFastForward, TieOrderMatchesThePerCycleLoop) {
+  // Binary-exact times (a 0.25 s cycle, no wake-up tax) put wake-ups exactly
+  // on forward ends and gradient arrivals, so every tie rule is exercised:
+  // an event at T runs before the wake at T, and an arrival at T counts iff
+  // it was registered before that wake was scheduled. Goldens from the
+  // per-cycle loop; the times come out bit-identical.
+  struct TieGolden {
+    std::uint64_t engine_wakeups;
+    std::uint64_t data_allreduces;
+    double per_iteration;
+  };
+  constexpr TieGolden kGolden[] = {
+      {24, 14, 1.916695512222222},
+      {24, 6, 1.9166955120000002},
+      {24, 15, 1.916695512222222},
+      {31, 15, 2.5000288455555553},
+  };
+  mpi::CollectiveCostModel cost(net::Topology(2, 1, hw::FabricKind::InfiniBandEDR));
+  for (int variant = 0; variant < 4; ++variant) {
+    SCOPED_TRACE(variant);
+    TimelineInput in;
+    in.fwd_time = 0.5;
+    in.bwd_time = 1.0;
+    in.optimizer_time = 0.25;
+    in.iterations = 3;
+    in.cost = &cost;
+    in.wakeup_cpu_s = 0.0;
+    in.policy.cycle_time_s = 0.25;
+    for (int i = 0; i <= 4; ++i) in.grad_events.push_back({0.25 * i, 1e6});
+    if (variant == 1) in.grad_events = {{0.0, 1e6}, {0.0, 2e6}, {0.125, 1e6}, {1.0, 1e6}};
+    if (variant >= 2) in.sim_ranks = 4;
+    if (variant == 3) in.faults.slowdowns.push_back({1, 2.0, 1, 2});
+    const auto r = simulate_training(in);
+    EXPECT_EQ(r.stats.engine_wakeups, kGolden[variant].engine_wakeups);
+    EXPECT_EQ(r.stats.data_allreduces, kGolden[variant].data_allreduces);
+    EXPECT_DOUBLE_EQ(r.per_iteration, kGolden[variant].per_iteration);
+  }
+}
+
+TEST(TimelineFastForward, RepresentativeStepRunsFiveTimesFewerEvents) {
+  // Stampede2 2 nodes x 4 ppn, ResNet-50: the per-cycle loop processed 2892
+  // calendar events for these 2266 engine wake-ups.
+  const train::TrainResult r =
+      train::run_training(core::tf_best(hw::stampede2(), dnn::ModelId::ResNet50, 2));
+  EXPECT_EQ(r.comm.engine_wakeups, 2266u);
+  EXPECT_LE(5 * r.sim_events, 2892u) << r.sim_events << " events";
+}
+
+TEST(TimelineFastForward, HugeSlowdownCountsEveryCycleInFewEvents) {
+  // A 1e7x straggler stretches each iteration to ~3e6 virtual seconds, ~1e9
+  // engine cycles: the per-cycle loop ran for minutes; booked in closed form
+  // it costs about what the healthy run does.
+  mpi::CollectiveCostModel cost(net::Topology(2, 4, hw::FabricKind::OmniPath));
+  auto in = basic_input(&cost);
+  in.sim_ranks = 8;
+  const auto healthy = simulate_training(in);
+  in.faults.slowdowns.push_back({1, 1e7, 0, -1});
+  const auto r = simulate_training(in);
+  EXPECT_GT(r.total_time, 1e6);
+  const double cycles = r.total_time / in.policy.cycle_time_s;
+  EXPECT_NEAR(static_cast<double>(r.stats.engine_wakeups), cycles, 1e-6 * cycles);
+  EXPECT_LT(r.events_processed, 2 * healthy.events_processed);
+}
+
+TEST(TimelineFastForward, UncountableIdleSpanThrowsInsteadOfSpinning) {
+  // 3e8 virtual seconds at a 1 ns cycle is ~3e17 cycles, past the 2^52 a
+  // double counts exactly; the per-cycle loop would never have finished.
+  mpi::CollectiveCostModel cost(net::Topology(2, 4, hw::FabricKind::OmniPath));
+  auto in = basic_input(&cost);
+  in.sim_ranks = 8;
+  in.policy.cycle_time_s = 1e-9;
+  in.faults.slowdowns.push_back({1, RankSlowdown::kMaxFactor, 0, -1});
+  EXPECT_THROW(simulate_training(in), std::runtime_error);
 }
 
 TEST(FusionPolicy, Validation) {

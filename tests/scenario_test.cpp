@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -68,6 +69,20 @@ TEST(ScenarioLint, MalformedEventValuesAreF001) {
   const util::Diagnostics diags = core::lint_scenario(s, faultable_config());
   EXPECT_EQ(diags.count(util::Severity::Error), 3u) << util::render_text(diags);
   EXPECT_TRUE(diags.has_code("F001"));
+}
+
+TEST(ScenarioLint, NonFiniteOrHugeSlowdownFactorIsF001) {
+  // NaN and 1e308 used to pass the "> 0" check, and 1e308 then hung the DES.
+  for (const double factor : {std::nan(""), HUGE_VAL, 1e308,
+                              2.0 * hvd::RankSlowdown::kMaxFactor}) {
+    core::Scenario s;
+    s.faults.slowdowns.push_back({1, factor, 0, -1});
+    const util::Diagnostics diags = core::lint_scenario(s, faultable_config());
+    EXPECT_TRUE(diags.has_code("F001")) << factor << "\n" << util::render_text(diags);
+  }
+  core::Scenario bound;
+  bound.faults.slowdowns.push_back({1, hvd::RankSlowdown::kMaxFactor, 0, -1});
+  EXPECT_FALSE(core::lint_scenario(bound, faultable_config()).has_errors());
 }
 
 TEST(ScenarioLint, RejoinBeforeCrashIsF002) {
@@ -321,6 +336,37 @@ TEST(Survivability, CrashRejoinQueryReturnsRetentionAndCaches) {
   EXPECT_EQ(warm.cache_hits, 2u);
   EXPECT_DOUBLE_EQ(warm.throughput_retention, cold.throughput_retention);
   EXPECT_DOUBLE_EQ(warm.healthy_images_per_sec, cold.healthy_images_per_sec);
+}
+
+TEST(Survivability, WarmReplyCarriesTheColdRecoveryCurve) {
+  // The cache keeps the fault outcome out of line; a hit must rebuild the
+  // reply the miss built, series and all.
+  core::AdvisorServiceOptions opts;
+  opts.threads = 2;
+  core::AdvisorService service(opts);
+  const core::SurvivabilityRequest req{faultable_config(), crash_rejoin_scenario()};
+  const core::SurvivabilityReply cold = service.survivability(req);
+  const core::SurvivabilityReply warm = service.survivability(req);
+  ASSERT_EQ(warm.cache_hits, 2u);
+  EXPECT_EQ(warm.iteration_seconds, cold.iteration_seconds);
+  EXPECT_EQ(warm.alive_rank_fraction, cold.alive_rank_fraction);
+  EXPECT_EQ(warm.membership_changes, cold.membership_changes);
+  EXPECT_EQ(warm.scenario_images_per_sec, cold.scenario_images_per_sec);
+  EXPECT_EQ(warm.verdict, cold.verdict);
+  EXPECT_EQ(warm.verdict_reason, cold.verdict_reason);
+  EXPECT_EQ(service.cache().fault_extensions(), 1u);  // the healthy side carries none
+}
+
+TEST(Survivability, ThousandFoldStragglerIsStragglerBound) {
+  // Per-rank runs used to report a straggler stretch of 1, so this reply
+  // read "ComputeBound (compute 0.1%, rank skew 0.0%)".
+  core::AdvisorService service;
+  core::Scenario s;
+  s.name = "straggler-1000x";
+  s.faults.slowdowns.push_back({1, 1000.0, 0, -1});
+  const core::SurvivabilityReply reply = service.survivability({faultable_config(), s});
+  EXPECT_LT(reply.throughput_retention, 0.01);
+  EXPECT_EQ(reply.verdict, prof::Verdict::StragglerBound) << reply.verdict_reason;
 }
 
 TEST(Survivability, MalformedScenarioFailsTheLintGate) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -67,6 +68,30 @@ TEST(Engine, PastSchedulingThrows) {
   engine.run();
   EXPECT_THROW(engine.schedule_at(1.0, [] {}), std::invalid_argument);
   EXPECT_THROW(engine.schedule_after(-0.1, [] {}), std::invalid_argument);
+}
+
+TEST(Engine, NonFiniteTimesThrow) {
+  // NaN compares false against now(), so the past-time check alone let it in.
+  Engine engine;
+  EXPECT_THROW(engine.schedule_at(std::numeric_limits<double>::quiet_NaN(), [] {}),
+               std::invalid_argument);
+  EXPECT_THROW(engine.schedule_at(std::numeric_limits<double>::infinity(), [] {}),
+               std::invalid_argument);
+  EXPECT_THROW(engine.schedule_after(std::numeric_limits<double>::quiet_NaN(), [] {}),
+               std::invalid_argument);
+  EXPECT_TRUE(engine.empty());
+}
+
+TEST(Engine, NextTimeIsTheEarliestLiveEvent) {
+  Engine engine;
+  EXPECT_EQ(engine.next_time(), std::numeric_limits<double>::infinity());
+  const EventId early = engine.schedule_at(1.0, [] {});
+  engine.schedule_at(2.5, [] {});
+  EXPECT_DOUBLE_EQ(engine.next_time(), 1.0);
+  engine.cancel(early);  // cancelled entries do not count
+  EXPECT_DOUBLE_EQ(engine.next_time(), 2.5);
+  engine.run();
+  EXPECT_EQ(engine.next_time(), std::numeric_limits<double>::infinity());
 }
 
 TEST(Engine, StepReturnsFalseWhenEmpty) {
