@@ -1,11 +1,11 @@
 // sim_scale: rank-scale smoke for the pooled discrete-event timeline — the
 // ISSUE-7 acceptance harness. Simulates one training config with every rank
-// explicit (per-rank arenas + slab event pool) and reports how long the DES
+// explicit (per-rank factors, slab event pool) and reports how long the DES
 // itself took on the wall clock, in contrast to every other bench which
 // reports the *virtual* time the simulation predicts.
 //
 //   ./sim_scale --ranks=4096                        # 4k-rank ResNet-50 step
-//   ./sim_scale --ranks=1024 --check --budget-s=10  # CI smoke: wall budget
+//   ./sim_scale --ranks=16384 --check --budget-s=1  # CI smoke: wall budget
 //   ./sim_scale --ranks=4096 --hierarchy=two --metrics-out=sim.json
 //   ./sim_scale --sweep=2,4,8,16,32,64,128          # scaling-efficiency curve
 //

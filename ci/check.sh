@@ -46,14 +46,16 @@ advisor_smoke() {
       --pool-threads=4 --check --metrics-out="$build/metrics_smoke_advisor.json"
 }
 
-# 1k-rank pooled-DES smoke: every rank simulated explicitly through the slab
-# event pool, gated on wall clock (the acceptance budget is 10 s at 4k ranks;
-# 1k ranks under 10 s is generous on any CI machine, and a pooling regression
-# blows straight past it).
+# Per-rank DES smoke, gated on wall clock: a 16k-rank step must finish in
+# 1 s. Only the slowest alive rank's submissions reach the event calendar,
+# so the step takes a few ms; simulating every rank's submissions again
+# (~5M events) blows past the budget. The 1k-rank run feeds the metrics
+# baseline.
 sim_scale_smoke() {
   local build=build
   echo "=== [default] sim scale smoke ==="
-  "$build/bench/sim_scale" --ranks=1024 --ppn=16 --hierarchy=two --check --budget-s=10 \
+  "$build/bench/sim_scale" --ranks=16384 --ppn=16 --hierarchy=two --check --budget-s=1
+  "$build/bench/sim_scale" --ranks=1024 --ppn=16 --hierarchy=two --check --budget-s=1 \
       --metrics-out="$build/metrics_smoke_sim.json"
 }
 

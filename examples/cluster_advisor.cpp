@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
               << (cluster.node.cpu.threads_per_core > 1 ? 2 : 1) << "\n";
 
     if (cli.get_flag("show-search"))
-      std::cout << "\nfull search:\n" << rec.search_table.to_text();
+      std::cout << "\nfull search:\n" << rec.search_table->to_text();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;

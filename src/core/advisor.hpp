@@ -11,6 +11,8 @@
 // objectives other than throughput, and query-economics stats.
 #pragma once
 
+#include <optional>
+
 #include "core/figures.hpp"
 #include "train/trainer.hpp"
 
@@ -31,8 +33,9 @@ struct Recommendation {
   train::TrainConfig best;
   double images_per_sec = 0.0;
   /// Every evaluated configuration. Populated by advise(); the service only
-  /// fills it when AdvisorRequest::want_table is set.
-  util::TextTable search_table{{"ppn", "intra", "inter", "BS/rank", "img/s"}};
+  /// builds it when AdvisorRequest::want_table is set, and leaves it empty
+  /// otherwise.
+  std::optional<util::TextTable> search_table;
 };
 
 Recommendation advise(const hw::ClusterModel& cluster, dnn::ModelId model,

@@ -296,7 +296,9 @@ std::vector<AdvisorReply> AdvisorService::ask_many(const std::vector<AdvisorRequ
   for (std::size_t r = 0; r < requests.size(); ++r) {
     const AdvisorRequest& req = requests[r];
     AdvisorReply reply;
-    util::TextTable table({"ppn", "intra", "inter", "BS/rank", "img/s"});
+    std::optional<util::TextTable>& table = reply.recommendation.search_table;
+    if (req.want_table)
+      table.emplace(std::vector<std::string>{"ppn", "intra", "inter", "BS/rank", "img/s"});
     reply.grid_points = grids[r].size();
     bool have_best = false;
     const Point* best_point = nullptr;
@@ -308,12 +310,12 @@ std::vector<AdvisorReply> AdvisorService::ask_many(const std::vector<AdvisorRequ
         case Origin::Evaluated: ++reply.evaluated; break;
       }
       const EvalRecord& m = results.at(point.key);
-      if (req.want_table)
-        table.add_row({std::to_string(point.config.ppn),
-                       std::to_string(point.config.intra_threads),
-                       std::to_string(point.config.inter_threads),
-                       std::to_string(point.config.batch_per_rank),
-                       util::TextTable::num(m.images_per_sec, 1)});
+      if (table)
+        table->add_row({std::to_string(point.config.ppn),
+                        std::to_string(point.config.intra_threads),
+                        std::to_string(point.config.inter_threads),
+                        std::to_string(point.config.batch_per_rank),
+                        util::TextTable::num(m.images_per_sec, 1)});
       const double value = req.objective == Objective::MinStepTime
                                ? m.per_iteration_s
                                : m.images_per_sec;
@@ -335,7 +337,6 @@ std::vector<AdvisorReply> AdvisorService::ask_many(const std::vector<AdvisorRequ
       reply.overlap_fraction = v.overlap_fraction;
       reply.verdict_reason = v.reason;
     }
-    reply.recommendation.search_table = std::move(table);
     replies.push_back(std::move(reply));
 
     metrics.grid_points.inc(grids[r].size());

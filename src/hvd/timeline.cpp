@@ -70,9 +70,6 @@ class TimelineSim {
     }
     stretch_ = in_.straggler_factor / (1.0 - tax);
     if (per_rank_mode()) {
-      rank_factor_.assign(static_cast<std::size_t>(in_.sim_ranks), 1.0);
-      rank_cursor_.assign(static_cast<std::size_t>(in_.sim_ranks), 0);
-      submit_count_.assign(in_.grad_events.size(), 0);
       rank_alive_.assign(static_cast<std::size_t>(in_.sim_ranks), 1);
       alive_count_ = in_.sim_ranks;
     }
@@ -229,15 +226,20 @@ class TimelineSim {
   }
 
   // -------------------------------------------------------------------------
-  // Per-rank mode: flat arenas, one submission chain per rank
+  // Per-rank mode: every rank's factor, one submission chain
   // -------------------------------------------------------------------------
 
+  /// Draws every rank's compute factor and membership, then schedules the
+  /// submission chain of the slowest alive rank only. A tensor becomes
+  /// negotiable when the last alive rank submits it (the Min-reduce of the
+  /// real protocol, re-formed over the survivors after a crash), and that is
+  /// always the slowest rank: its submission times are a monotone function
+  /// of its factor, so the largest factor submits every tensor last or tied
+  /// for last. Tied ranks submit at equal times; the chain of the last of
+  /// them sits where the tie's last event sat relative to every wake-up,
+  /// which keeps the calendar's FIFO order at equal times.
   void start_iteration_per_rank() {
     iter_start_ = engine_.now();
-    bwd_ranks_done_ = 0;
-    iter_max_factor_ = 1.0;
-    std::fill(submit_count_.begin(), submit_count_.end(), 0);
-    std::fill(rank_cursor_.begin(), rank_cursor_.end(), std::uint32_t{0});
     // Resolve this step's membership set; a change re-forms the ring, which
     // costs one engine cycle plus a full-tensor-list negotiation allreduce
     // before any rank's compute lands.
@@ -268,28 +270,32 @@ class TimelineSim {
     // straggler patterns vary across iterations while a replay — cold or
     // from the eval cache — reproduces them exactly.
     util::Rng iter_rng(iteration_seed(completed_));
-    for (std::size_t r = 0; r < rank_factor_.size(); ++r) {
+    double slowest = 0.0;  // factors are positive, so any alive rank beats it
+    for (int r = 0; r < in_.sim_ranks; ++r) {
       double f = in_.per_rank_jitter_cv > 0.0 ? iter_rng.normal(1.0, in_.per_rank_jitter_cv) : 1.0;
       f = std::clamp(f, 0.25, 4.0);
-      if (!in_.faults.empty()) f *= slowdown_at(static_cast<int>(r), completed_);
-      rank_factor_[r] = f;
-      if (!rank_alive_[r]) continue;  // a crashed rank computes and submits nothing
-      iter_max_factor_ = std::max(iter_max_factor_, f);
-      const double scale = stretch_ * f;
-      if (!in_.grad_events.empty())
-        engine_.schedule_at(
-            rank_event_time(r, in_.grad_events.front().time, scale),
-            [this, r] { advance_rank(r); });
-      engine_.schedule_at(rank_event_time(r, in_.bwd_time, scale),
-                          [this] { rank_backward_done(); });
+      if (!in_.faults.empty()) f *= slowdown_at(r, completed_);
+      if (!rank_alive_[static_cast<std::size_t>(r)]) continue;  // computes and submits nothing
+      slowest = std::max(slowest, f);
       // Virtual timestamps are computed, not waited for, so the rank's whole
       // compute block for this iteration can be emitted at schedule time.
-      if (static_cast<int>(r) < traced_ranks())
+      if (r < traced_ranks())
         trace::emit_virtual_complete(
-            "compute", "sim", trace::kSimulatedPid, kRankTidBase + static_cast<int>(r),
-            iter_start_, rank_event_time(r, in_.bwd_time, scale) - iter_start_,
+            "compute", "sim", trace::kSimulatedPid, kRankTidBase + r, iter_start_,
+            rank_event_time(in_.bwd_time, stretch_ * f) - iter_start_,
             std::move(trace::Args().add("iteration", completed_)).str());
     }
+    iter_max_factor_ = std::max(1.0, slowest);
+    chain_scale_ = stretch_ * slowest;
+    chain_next_ = 0;
+    if (!in_.grad_events.empty())
+      engine_.schedule_at(rank_event_time(in_.grad_events.front().time, chain_scale_),
+                          [this] { advance_chain(); });
+    engine_.schedule_at(rank_event_time(in_.bwd_time, chain_scale_), [this] {
+      bwd_done_ = true;
+      bwd_end_time_ = engine_.now();
+      maybe_finish_iteration();
+    });
     if (tracing_) {
       // Mirror the representative mode's forward/backward scopes on the
       // compute track at the slowest rank's pace — that is the pace the
@@ -307,37 +313,22 @@ class TimelineSim {
     }
   }
 
-  /// Absolute time rank `r` reaches `offset` seconds into its backward pass
-  /// this iteration (compute before it scaled by the rank's factor, behind
-  /// any membership-resync barrier).
-  double rank_event_time(std::size_t /*r*/, double offset, double scale) const {
+  /// Absolute time a rank whose compute runs at `scale` reaches `offset`
+  /// seconds into its backward pass this iteration (behind any
+  /// membership-resync barrier).
+  double rank_event_time(double offset, double scale) const {
     return iter_start_ + iter_resync_s_ + (in_.iteration_fixed + in_.fwd_time + offset) * scale;
   }
 
-  /// One gradient submission of rank `r`: bump the tensor's submit count;
-  /// when the slowest *alive* rank arrives the tensor becomes globally
-  /// negotiable (the Min-reduce of the real protocol, re-formed over the
-  /// surviving membership set after a crash). Then chain the rank's next
-  /// submission — one in-flight event per rank, so the pool's footprint
-  /// stays O(ranks) while total events grow as ranks x tensors.
-  void advance_rank(std::size_t r) {
-    const std::size_t k = rank_cursor_[r]++;
-    if (++submit_count_[k] == alive_count_)
-      pending_.push_back(in_.grad_events[k].bytes);
-    const std::size_t next = k + 1;
-    if (next < in_.grad_events.size()) {
-      const double scale = stretch_ * rank_factor_[r];
+  /// The slowest rank submits its next gradient, which every other alive
+  /// rank has submitted by now: the tensor is negotiable. Then chain the
+  /// next submission, so one event is in flight however many ranks run.
+  void advance_chain() {
+    pending_.push_back(in_.grad_events[chain_next_].bytes);
+    if (++chain_next_ < in_.grad_events.size())
       engine_.schedule_at(
-          std::max(engine_.now(), rank_event_time(r, in_.grad_events[next].time, scale)),
-          [this, r] { advance_rank(r); });
-    }
-  }
-
-  void rank_backward_done() {
-    if (++bwd_ranks_done_ < static_cast<std::int64_t>(alive_count_)) return;
-    bwd_done_ = true;
-    bwd_end_time_ = engine_.now();
-    maybe_finish_iteration();
+          std::max(engine_.now(), rank_event_time(in_.grad_events[chain_next_].time, chain_scale_)),
+          [this] { advance_chain(); });
   }
 
   // -------------------------------------------------------------------------
@@ -512,10 +503,7 @@ class TimelineSim {
   std::uint64_t arrivals_stamp_ = 0;
   std::uint64_t stamp_ = 0;
   bool tracing_ = false;
-  // 64-bit accumulators throughout: per-rank mode pushes tensor and event
-  // counts into ranges where 32-bit intermediates overflow (16k ranks x
-  // thousands of tensors x iterations).
-  std::int64_t reduced_ = 0;
+  std::int64_t reduced_ = 0;  ///< tensors of this iteration reduced so far
   bool bwd_done_ = false;
   bool done_ = false;
   int completed_ = 0;
@@ -525,13 +513,12 @@ class TimelineSim {
   double step_start_ = 0.0;
   double finish_time_ = 0.0;
   double stretch_ = 1.0;
-  // Per-rank arenas (per-rank mode only): sized once, reset per iteration.
-  std::vector<double> rank_factor_;
-  std::vector<std::uint32_t> rank_cursor_;
-  std::vector<std::int32_t> submit_count_;
+  // Per-rank mode: membership (sized once), and this iteration's slowest
+  // alive rank's compute scale and next tensor.
   std::vector<char> rank_alive_;
   int alive_count_ = 1;
-  std::int64_t bwd_ranks_done_ = 0;
+  double chain_scale_ = 1.0;
+  std::size_t chain_next_ = 0;
   double iter_start_ = 0.0;
   double iter_max_factor_ = 1.0;
   double max_factor_sum_ = 0.0;

@@ -6,14 +6,15 @@
 //  - Representative-rank mode (sim_ranks == 1, the default): one rank is
 //    simulated; rank jitter enters through `straggler_factor`, the
 //    expected-max inflation of compute times across the world.
-//  - Per-rank mode (sim_ranks > 1): every rank's backward pass and gradient
-//    submissions are simulated explicitly from flat per-rank arenas (a
-//    jitter factor, a submission cursor, and a per-tensor submit count). A
-//    gradient becomes globally negotiable only when the slowest rank has
-//    submitted it — the Min-reduce the real engine computes — so stragglers
-//    emerge from the simulation instead of a closed-form factor. Event
-//    count grows as ranks x tensors per iteration; the pooled sim::Engine
-//    keeps that allocation-free, which is what makes 4k-rank steps cheap.
+//  - Per-rank mode (sim_ranks > 1): every rank draws its own compute factor
+//    (jitter x slowdown) and membership each iteration. A gradient becomes
+//    globally negotiable only when the slowest alive rank has submitted it —
+//    the Min-reduce the real engine computes — so stragglers emerge from
+//    the drawn factors instead of a closed-form expected max. Submission
+//    times grow monotonically with the factor, so only the slowest alive
+//    rank's submission chain reaches the calendar: the event count per
+//    iteration is one per tensor plus the engine's own, whatever the rank
+//    count, and a 16k-rank step costs about what a 64-rank one does.
 //
 // The engine's background loop wakes every cycle_time, issues one
 // coordination allreduce per wake-up, fuses all negotiated tensors up to the

@@ -8,7 +8,7 @@
 // binary heap of (time, seq, slot) index entries. Scheduling reuses a freed
 // slot instead of allocating, cancellation flips a flag in the slot (no
 // side-table), and generation counters keep stale EventIds harmless — the
-// layout that lets a 4k-rank timeline push millions of events without
+// layout that lets a long simulation push millions of events without
 // touching the allocator once the pool is warm.
 #pragma once
 

@@ -69,11 +69,11 @@ struct TrainConfig {
   /// (dnn::training_memory) exceeds device/node memory. Off by default: the
   /// footprint model assumes no buffer reuse, which real frameworks do.
   bool validate_memory = false;
-  /// Simulate every rank explicitly (per-rank arenas, per-rank jitter drawn
-  /// from jitter_cv) instead of folding the world into one representative
-  /// rank with an expected-max straggler factor. Event count grows as
-  /// ranks x gradient tensors per iteration; the pooled event engine keeps
-  /// 4k-rank steps in seconds.
+  /// Simulate every rank explicitly (per-rank jitter drawn from jitter_cv,
+  /// per-rank faults) instead of folding the world into one representative
+  /// rank with an expected-max straggler factor. Drawing the factors costs
+  /// O(ranks) per iteration; the event calendar follows only the slowest
+  /// alive rank, so its size does not grow with the rank count.
   bool per_rank_sim = false;
   /// Collective hierarchy for pricing data allreduces.
   CommHierarchy hierarchy = CommHierarchy::Flat;

@@ -421,7 +421,15 @@ TEST(AdvisorService, WantTableFillsSearchTable) {
   auto req = small_request();
   req.want_table = true;
   const auto reply = service.ask(req);
-  EXPECT_EQ(reply.recommendation.search_table.rows(), reply.grid_points);
+  ASSERT_TRUE(reply.recommendation.search_table.has_value());
+  EXPECT_EQ(reply.recommendation.search_table->rows(), reply.grid_points);
+}
+
+TEST(AdvisorService, ReplyWithoutWantTableCarriesNoTable) {
+  core::AdvisorService service({.threads = 2});
+  const auto reply = service.ask(small_request());
+  EXPECT_GT(reply.grid_points, 0u);
+  EXPECT_FALSE(reply.recommendation.search_table.has_value());
 }
 
 TEST(AdvisorService, EvictionBoundedCacheStillAnswersCorrectly) {
@@ -516,14 +524,30 @@ TEST(AdvisorScaling, SweepsReachSixteenThousandRanks) {
 TEST(AdvisorScaling, PerRankSweepFillsEventPoolGauges) {
   core::AdvisorService service({.threads = 2});
   auto req = scaling_request(64);
-  req.node_counts = {64};
-  req.ppn = 16;  // 1024 explicitly simulated ranks
+  req.node_counts = {4, 64};
+  req.ppn = 16;  // 64 and 1024 explicitly simulated ranks
+  auto rep_req = req;
   req.per_rank_sim = true;
   const auto curve = service.scaling_curve(req);
-  ASSERT_EQ(curve.size(), 1u);
-  EXPECT_GT(curve[0].sim_events, 1024u);  // at least one event per rank
-  EXPECT_GT(curve[0].sim_pool_slots, 0u);
-  EXPECT_LT(curve[0].sim_pool_slots, curve[0].sim_events);  // pooling reuses slots
+  const auto rep = service.scaling_curve(rep_req);
+  ASSERT_EQ(curve.size(), 2u);
+  ASSERT_EQ(rep.size(), 2u);
+  // Per-rank mode runs the slowest rank's submission chain on top of the
+  // representative calendar: at most one more event per gradient request,
+  // whatever the rank count. Only the jitter draw differs between 64 and
+  // 1024 ranks, which moves a wake-up or two.
+  const std::uint64_t requests =
+      train::run_training(rep[0].config).comm.framework_requests;
+  for (std::size_t i = 0; i < curve.size(); ++i) {
+    EXPECT_GT(curve[i].sim_events, rep[i].sim_events);
+    EXPECT_LE(curve[i].sim_events, rep[i].sim_events + requests);
+    EXPECT_GT(curve[i].sim_pool_slots, 0u);
+    EXPECT_LE(curve[i].sim_pool_slots, rep[i].sim_pool_slots + 1);
+    EXPECT_LT(curve[i].sim_pool_slots, curve[i].sim_events);  // pooling reuses slots
+  }
+  EXPECT_NEAR(static_cast<double>(curve[1].sim_events), static_cast<double>(curve[0].sim_events),
+              0.01 * static_cast<double>(curve[0].sim_events));
+  EXPECT_EQ(curve[1].sim_pool_slots, curve[0].sim_pool_slots);
 }
 
 TEST(AdvisorScaling, HierarchicalCurveKeepsFlatShapeWithinFifteenPercent) {

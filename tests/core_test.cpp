@@ -161,7 +161,8 @@ TEST(Advisor, FindsMultiProcessOnSkylake3) {
   // The search must reject SP and land on 4 or 8 ppn (paper: 4).
   EXPECT_GE(rec.best.ppn, 4);
   EXPECT_GT(rec.images_per_sec, 0.0);
-  EXPECT_GT(rec.search_table.rows(), 10u);
+  ASSERT_TRUE(rec.search_table.has_value());
+  EXPECT_GT(rec.search_table->rows(), 10u);
 }
 
 TEST(Advisor, PytorchWantsManyProcesses) {
